@@ -152,11 +152,6 @@ def pq_derivative(f: SampledFunction, x: float, p: float, q: float) -> float:
     return (f.eval(p * x) - f.eval(q * x)) / ((p - q) * x)
 
 
-def _tsallis_numbers(q: float, n_max: int) -> list[float]:
-    sch = tsallis(q)
-    return [phi(sch, n) if n else 0.0 for n in range(n_max + 1)]
-
-
 def tsallis_derivative_series(s: PowerSeries, q: float) -> PowerSeries:
     """Coefficient map c_n -> [n]_(q-1) c_n at power n-1."""
     sch = tsallis(q)

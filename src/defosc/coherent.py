@@ -8,6 +8,10 @@ The state for amplitude alpha expands on the number basis as
 and exists whenever |alpha|^2 sits strictly inside the convergence disk of
 e_phi.  At q = 2 (tsallis) the normalizer collapses to sqrt(1 - |alpha|^2)
 and the coefficients to plain powers of alpha.
+
+Work and memory grow linearly with the cutoff dim: the coefficients are a
+running product and eigen_residual applies a through its superdiagonal
+vector, never as a dense dim x dim matrix.  The cutoff is capped at MAX_DIM.
 """
 
 from __future__ import annotations
@@ -17,17 +21,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import build_fock
+from .fock import ladder_vector
 from .scheme import DeformationScheme, phi, tsallis
 from .series import phi_exp_series, radius_of_convergence, tsallis_exp_closed
 
 __all__ = [
+    "MAX_DIM",
     "CoherentState",
     "coherent_state",
     "eigen_residual",
     "f_coherent_coefficients",
     "expected_n",
 ]
+
+# Largest cutoff coherent_state accepts, auto-chosen or explicit.  The auto
+# rule ceil(40 / (1 - fill)) grows without bound as fill -> 1 and reaches
+# the cap at fill = 0.9996; a state at the cap holds 1e5 coefficients, a
+# few MB.
+MAX_DIM = 100_000
 
 
 @dataclass(frozen=True)
@@ -65,8 +76,10 @@ def coherent_state(
 ) -> CoherentState:
     """Construct the truncated coherent state for amplitude alpha.
 
-    dim defaults to max(64, ceil(40 / (1 - |alpha|^2/radius))), growing the
-    cutoff as alpha approaches the edge of the disk.
+    dim defaults to max(64, ceil(40 / (1 - fill))) with fill = |alpha|^2/radius,
+    growing the cutoff as alpha approaches the edge of the disk.  Any dim,
+    chosen or given, above MAX_DIM raises ValueError before a coefficient
+    is built.  Cost is O(dim) time and memory.
     """
     alpha = complex(alpha)
     radius = radius_of_convergence(scheme)
@@ -76,9 +89,13 @@ def coherent_state(
             f"|alpha|^2 = {y} is not inside the convergence disk (radius {radius}); "
             "the normalizer e_phi(|alpha|^2) diverges"
         )
+    fill = y / radius if math.isfinite(radius) else 0.0
     if dim is None:
-        fill = y / radius if math.isfinite(radius) else 0.0
         dim = max(64, math.ceil(40.0 / (1.0 - fill)))
+    if dim > MAX_DIM:
+        raise ValueError(
+            f"cutoff dim {dim} exceeds MAX_DIM = {MAX_DIM} at fill |alpha|^2/radius = {fill!r}"
+        )
     if dim < 4:
         raise ValueError(f"dim >= 4 required, got {dim}")
     coeffs = [1.0 + 0.0j]
@@ -98,10 +115,11 @@ def eigen_residual(state: CoherentState) -> float:
     cutoff sits entirely in the last entry, so the lower half measures how
     well the eigenvalue relation itself holds.
     """
-    triple = build_fock(state.scheme, state.dim)
+    m = state.dim // 2 + 1
+    s = ladder_vector(state.scheme, state.dim)
     v = state.vector()
-    w = triple.a @ v - state.alpha * v
-    return float(np.max(np.abs(w[: state.dim // 2 + 1])))
+    w = s[:m] * v[1 : m + 1] - state.alpha * v[:m]
+    return float(np.max(np.abs(w)))
 
 
 def f_coherent_coefficients(q: float, alpha: complex, dim: int) -> tuple[complex, ...]:

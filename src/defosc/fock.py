@@ -1,9 +1,17 @@
-"""Truncated Fock-space matrices and the oscillator spectrum.
+"""Truncated Fock-space operators and the oscillator spectrum.
 
-On the number basis |0>, ..., |D-1> the ladder operators are the bidiagonal
-matrices a[n, n+1] = a+[n+1, n] = sqrt(phi(n+1)).  The hamiltonian
-H = (a a+ + a+ a)/2 is diagonal with E_n = (phi(n+1) + phi(n))/2; its last
-entry is truncation-polluted because phi(D) is cut off.
+On the number basis |0>, ..., |D-1> the lowering operator has a single
+superdiagonal, a[n, n+1] = sqrt(phi(n+1)), and the raising operator is its
+transpose.  Every ladder operation here reads that superdiagonal as the
+vector s = ladder_vector(scheme, D) and costs O(D): the commutator diagonal
+s^2 - shift(s^2), the hamiltonian diagonal (s^2|0 + 0|s^2)/2 and |n> as the
+product s[0] ... s[n-1] placed at index n.  No D x D matrix is multiplied.
+
+build_fock still returns the dense read-only a, a+ = a.T and N, and
+hamiltonian still returns a D x D ndarray, for callers that want matrices;
+each costs O(D^2) memory.  H = (a a+ + a+ a)/2 is diagonal with
+E_n = (phi(n+1) + phi(n))/2; its last entry is truncation-polluted because
+phi(D) is cut off.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ __all__ = [
     "energy_level",
     "spectrum_report",
     "hamiltonian",
+    "ladder_vector",
     "state_from_vacuum",
 ]
 
@@ -38,7 +47,8 @@ class FockTriple:
     scheme: DeformationScheme
 
 
-def build_fock(scheme: DeformationScheme, dim: int) -> FockTriple:
+def ladder_vector(scheme: DeformationScheme, dim: int) -> np.ndarray:
+    """s[k] = sqrt(phi(k+1)) for k < dim-1: the superdiagonal of a on a dim cutoff."""
     if dim < 2:
         raise ValueError(f"dim >= 2 required, got {dim}")
     vals = []
@@ -47,7 +57,12 @@ def build_fock(scheme: DeformationScheme, dim: int) -> FockTriple:
         if v < 0.0:
             raise ValueError(f"phi({k}) = {v} < 0: no real ladder representation")
         vals.append(v)
-    a = np.diag(np.sqrt(vals), 1)
+    return np.sqrt(vals)
+
+
+def build_fock(scheme: DeformationScheme, dim: int) -> FockTriple:
+    """Dense read-only a, a+ = a.T and N on a dim cutoff, built from ladder_vector."""
+    a = np.diag(ladder_vector(scheme, dim), 1)
     n_op = np.diag(np.arange(dim, dtype=float))
     a.flags.writeable = False
     n_op.flags.writeable = False
@@ -60,13 +75,12 @@ def commutator_residual(triple: FockTriple) -> float:
     The last row and column are excluded: the truncated a a+ cannot see
     phi(D).  The result scales with the rounding unit of the largest phi in
     range, so fast-growing schemes at large D report larger residuals.
+    Both products are diagonal, so only s^2 - shift(s^2) is formed: O(D).
     """
-    s = triple.scheme
-    d = triple.dim
-    comm = triple.a @ triple.a_dagger - triple.a_dagger @ triple.a
-    expect = np.diag([phi(s, n + 1) - phi(s, n) for n in range(d - 1)])
-    sub = comm[: d - 1, : d - 1] - expect
-    return float(np.max(np.abs(sub)))
+    sq = np.square(np.diagonal(triple.a, 1))
+    comm = sq - np.concatenate(([0.0], sq[:-1]))
+    expect = np.diff([phi(triple.scheme, n) for n in range(triple.dim)])
+    return float(np.max(np.abs(comm - expect)))
 
 
 def energy_level(scheme: DeformationScheme, n: int) -> float:
@@ -125,16 +139,25 @@ def spectrum_report(scheme: DeformationScheme, n_max: int) -> SpectrumReport:
 
 
 def hamiltonian(triple: FockTriple) -> np.ndarray:
-    """H = (a a+ + a+ a)/2; entry [D-1, D-1] is truncation-polluted."""
-    return 0.5 * (triple.a @ triple.a_dagger + triple.a_dagger @ triple.a)
+    """H = (a a+ + a+ a)/2 as a D x D ndarray; entry [D-1, D-1] is truncation-polluted.
+
+    Only the diagonal (s^2|0 + 0|s^2)/2 is computed; the dense return costs
+    O(D^2) memory and no matrix product.
+    """
+    sq = np.square(np.diagonal(triple.a, 1))
+    return np.diag(0.5 * (np.concatenate((sq, [0.0])) + np.concatenate(([0.0], sq))))
 
 
 def state_from_vacuum(triple: FockTriple, n: int) -> np.ndarray:
-    """|n> = (a+)^n |0> / sqrt(phi(n)!) as a length-D coefficient vector."""
+    """|n> = (a+)^n |0> / sqrt(phi(n)!) as a length-D coefficient vector.
+
+    (a+)^n |0> is s[0] s[1] ... s[n-1] at index n, multiplied in that order.
+    The normalizer phi(n)! is formed first, so an n past the float range
+    raises OverflowError before any vector entry is computed.
+    """
     if not 0 <= n < triple.dim:
         raise ValueError(f"n = {n} lies outside the truncated space (dim {triple.dim})")
+    norm = math.sqrt(phi_factorial(triple.scheme, n))
     v = np.zeros(triple.dim)
-    v[0] = 1.0
-    for _ in range(n):
-        v = triple.a_dagger @ v
-    return v / math.sqrt(phi_factorial(triple.scheme, n))
+    v[n] = math.prod(np.diagonal(triple.a, 1)[:n].tolist())
+    return v / norm

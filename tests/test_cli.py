@@ -186,6 +186,30 @@ def test_coherent_outside_disk(capsys):
     assert json.loads(err)["error"] == "domain-error"
 
 
+def test_coherent_near_disk_edge_auto_dim(capsys):
+    # fill 0.999 picks a cutoff of 39649; every step is linear in it
+    code, doc, _ = run_json(capsys, "coherent", "tsallis:q=1.5", "1.4135")
+    assert code == 0
+    assert doc["results"]["dim"] == 39649
+    assert doc["results"]["eigen_residual"] < 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tsallis:q=1.5", repr(math.sqrt(2.0 * (1.0 - 1e-9)))],
+        ["tsallis:q=1.5", "0.5", "--dim", "1000000000"],
+    ],
+)
+def test_coherent_dim_cap(capsys, argv):
+    code, out, err = run(capsys, "coherent", *argv)
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "domain-error"
+    assert "MAX_DIM = 100000" in doc["detail"] and "fill" in doc["detail"]
+
+
 def test_coherent_bad_alpha(capsys):
     code, _, err = run(capsys, "coherent", "boson", "zebra")
     assert code == 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from defosc.coherent import (
     expected_n,
     f_coherent_coefficients,
 )
+from defosc.fock import build_fock
 from defosc.scheme import boson, phi_factorial, tsallis
-from defosc.series import tsallis_exp_closed
+from defosc.series import radius_of_convergence, tsallis_exp_closed
+from defosc.verify import _battery
 
 
 def test_coefficients_match_direct_formula():
@@ -55,6 +58,8 @@ def test_default_dim_rule():
     assert coherent_state(tsallis(1.5), 1.4).dim == 2000
     # far inside, the 64 floor wins
     assert coherent_state(tsallis(1.5), 0.5, dim=None).dim == 64
+    # fill 0.999 stays below the MAX_DIM cap
+    assert coherent_state(tsallis(1.5), 1.4135).dim == 39649
 
 
 def test_divergence_outside_disk():
@@ -87,13 +92,39 @@ def test_residual_window_excludes_truncation_defect():
     # the full action a v - alpha v has its defect in the last entry; the
     # reported residual must not see it
     st = coherent_state(tsallis(1.5), 1.2, dim=24)
-    from defosc.fock import build_fock
-
     triple = build_fock(st.scheme, st.dim)
     v = st.vector()
     w = np.abs(triple.a @ v - st.alpha * v)
     assert w[-1] > 1e-4
     assert eigen_residual(st) < 1e-9
+
+
+# coherent states need a convergence disk, which custom tables lack
+DENSE_GRID = [(s, d) for s in _battery() for d in (4, 16, 64)]
+
+
+@pytest.mark.parametrize(
+    "scheme,dim", DENSE_GRID, ids=[f"{s.descriptor()}-D{d}" for s, d in DENSE_GRID]
+)
+def test_eigen_residual_equals_dense_product(scheme, dim):
+    radius = radius_of_convergence(scheme)
+    mod = 0.8 * math.sqrt(radius) if math.isfinite(radius) else 1.5
+    st = coherent_state(scheme, cmath.rect(mod, 0.8), dim)
+    v = st.vector()
+    w = build_fock(scheme, dim).a @ v - st.alpha * v
+    assert eigen_residual(st) == float(np.max(np.abs(w[: dim // 2 + 1])))
+
+
+def test_eigen_residual_memory_is_linear_in_dim():
+    # a dense complex ladder at this cutoff would take 256 MB
+    st = coherent_state(tsallis(1.5), 1.4, dim=4001)
+    tracemalloc.start()
+    try:
+        eigen_residual(st)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_residual_stable_under_dim_growth():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +11,22 @@ from defosc.fock import (
     commutator_residual,
     energy_level,
     hamiltonian,
+    ladder_vector,
     spectrum_report,
     state_from_vacuum,
 )
-from defosc.scheme import boson, custom_phi, mu_oscillator, phi, pq, q_oscillator, symmetric_q, tsallis
+from defosc.scheme import (
+    boson,
+    custom_phi,
+    mu_oscillator,
+    phi,
+    phi_factorial,
+    pq,
+    q_oscillator,
+    symmetric_q,
+    tsallis,
+)
+from defosc.verify import _CUSTOM_TABLE, _battery
 
 BATTERY = [
     boson(),
@@ -156,3 +169,39 @@ def test_state_from_vacuum_range():
         state_from_vacuum(t, 4)
     with pytest.raises(ValueError):
         state_from_vacuum(t, -1)
+
+
+def test_state_from_vacuum_overflow_raises_before_any_float_warning():
+    # phi(n)! leaves the float range near n = 47; the vector entry would
+    # overflow too, so the normalizer must be checked first
+    t = build_fock(q_oscillator(1.9), 1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"float range at n = \d+"):
+            state_from_vacuum(t, 900)
+
+
+# the verify battery at every cutoff, and the custom table up to its length
+DENSE_GRID = [(s, d) for s in _battery() for d in (2, 3, 16, 64)] + [
+    (custom_phi(_CUSTOM_TABLE), d) for d in (2, 3, len(_CUSTOM_TABLE))
+]
+
+
+@pytest.mark.parametrize(
+    "scheme,dim", DENSE_GRID, ids=[f"{s.descriptor()}-D{d}" for s, d in DENSE_GRID]
+)
+def test_ladder_kernels_equal_dense_products(scheme, dim):
+    # the dense matrix products are the reference the O(D) kernels replace;
+    # both must agree to the last bit
+    t = build_fock(scheme, dim)
+    a, ad = t.a, t.a.T
+    assert np.array_equal(ladder_vector(scheme, dim), np.diagonal(a, 1))
+    comm = (a @ ad - ad @ a)[: dim - 1, : dim - 1]
+    expect = np.diag([phi(scheme, n + 1) - phi(scheme, n) for n in range(dim - 1)])
+    assert commutator_residual(t) == float(np.max(np.abs(comm - expect)))
+    assert np.array_equal(hamiltonian(t), 0.5 * (a @ ad + ad @ a))
+    v = np.zeros(dim)
+    v[0] = 1.0
+    for n in range(dim):
+        assert np.array_equal(state_from_vacuum(t, n), v / math.sqrt(phi_factorial(scheme, n)))
+        v = ad @ v
